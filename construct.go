@@ -3,10 +3,7 @@ package perfskel
 import (
 	"context"
 	"fmt"
-	"os"
 
-	"perfskel/internal/analysis"
-	"perfskel/internal/analysis/commgraph"
 	"perfskel/internal/analysis/staticsig"
 	"perfskel/internal/signature"
 	"perfskel/internal/skeleton"
@@ -91,37 +88,6 @@ func WithStaticApp(name string, nranks int, class string) ConstructOption {
 	}
 }
 
-// synthesizeStatic runs the trace-free front end: load the source
-// package, extract the app's parametric signature, instantiate it.
-func synthesizeStatic(cfg constructConfig) (*staticsig.Instance, error) {
-	if cfg.staticApp == "" || cfg.staticRanks < 1 || cfg.staticClass == "" {
-		return nil, fmt.Errorf("perfskel: WithStaticSource needs WithStaticApp(name, nranks, class)")
-	}
-	root := "."
-	isDir := false
-	if st, err := os.Stat(cfg.staticPkg); err == nil && st.IsDir() {
-		root, isDir = cfg.staticPkg, true
-	}
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	var pkg *analysis.Package
-	if isDir {
-		pkg, err = loader.LoadDir(cfg.staticPkg)
-	} else {
-		pkg, err = loader.Load(cfg.staticPkg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	par, err := staticsig.Extract(commgraph.Source{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}, cfg.staticApp)
-	if err != nil {
-		return nil, err
-	}
-	return par.Instantiate(cfg.staticRanks, cfg.staticClass)
-}
-
 // Construct runs the complete skeleton-construction pipeline on a trace:
 // signature compression (by default searching the similarity threshold
 // until the compression ratio reaches the paper's Q = K/2), skeleton
@@ -155,75 +121,61 @@ func ConstructContext(ctx context.Context, tr *Trace, opts ...ConstructOption) (
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.staticPkg != "" {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		inst, err := synthesizeStatic(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		k, err := resolveK(cfg, inst.Sig.AppTime)
-		if err != nil {
-			return nil, nil, err
+	var sig *Signature
+	var appTime float64
+	switch {
+	case cfg.staticPkg != "":
+		if cfg.staticApp == "" || cfg.staticRanks < 1 || cfg.staticClass == "" {
+			return nil, nil, fmt.Errorf("perfskel: WithStaticSource needs WithStaticApp(name, nranks, class)")
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		prog, err := skeleton.BuildOpts(inst.Sig, k, cfg.skelOpts)
+		inst, err := staticsig.FromSource(cfg.staticPkg, cfg.staticApp, cfg.staticRanks, cfg.staticClass)
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := prog.Consistent(); err != nil {
-			return nil, nil, err
-		}
-		return prog, inst.Sig, nil
-	}
-	if tr == nil {
+		sig, appTime = inst.Sig, inst.Sig.AppTime
+	case tr == nil:
 		return nil, nil, fmt.Errorf("perfskel: Construct needs a trace (or WithStaticSource)")
+	default:
+		appTime = tr.AppTime
 	}
-	k, err := resolveK(cfg, tr.AppTime)
+	k, err := resolveK(cfg, appTime)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if cfg.sigOpts != nil {
-		sig, err := signature.Build(tr, *cfg.sigOpts)
-		if err != nil {
+	if sig == nil {
+		if cfg.sigOpts == nil {
+			return skeleton.BuildFromTrace(tr, k, cfg.skelOpts)
+		}
+		if sig, err = signature.Build(tr, *cfg.sigOpts); err != nil {
 			return nil, nil, err
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		prog, err := skeleton.BuildOpts(sig, k, cfg.skelOpts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := prog.Consistent(); err != nil {
-			return nil, nil, err
-		}
-		return prog, sig, nil
 	}
-	return skeleton.BuildFromTrace(tr, k, cfg.skelOpts)
+	prog, err := skeleton.BuildOpts(sig, k, cfg.skelOpts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := prog.Consistent(); err != nil {
+		return nil, nil, err
+	}
+	return prog, sig, nil
 }
 
 // resolveK turns WithK/WithTargetTime into the scaling factor.
 func resolveK(cfg constructConfig, appTime float64) (int, error) {
-	k := cfg.k
-	if k == 0 {
-		if cfg.targetTime == 0 {
-			return 0, fmt.Errorf("perfskel: Construct needs WithK or WithTargetTime: %w", ErrBadK)
-		}
-		var err error
-		k, err = skeleton.KForTime(appTime, cfg.targetTime)
-		if err != nil {
-			return 0, err
-		}
+	switch {
+	case cfg.k != 0:
+		return cfg.k, skeleton.CheckK(cfg.k)
+	case cfg.targetTime == 0:
+		return 0, fmt.Errorf("perfskel: Construct needs WithK or WithTargetTime: %w", ErrBadK)
 	}
-	if k < 1 {
-		return 0, fmt.Errorf("perfskel: scaling factor must be >= 1, got %d: %w", k, ErrBadK)
-	}
-	return k, nil
+	return skeleton.KForTime(appTime, cfg.targetTime)
 }

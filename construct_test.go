@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"perfskel"
+	"perfskel/internal/skeleton"
 )
 
 // constructTrace records a small two-rank iterative app for the
@@ -54,37 +55,30 @@ func TestConstructKPrecedence(t *testing.T) {
 	}
 }
 
-// The legacy wrappers are exact synonyms for their Construct spellings.
-func TestConstructWrapperEquivalence(t *testing.T) {
+// WithTargetTime derives K exactly as skeleton.KForTime does — round
+// half away from zero at the x.5 boundary — and then builds the same
+// skeleton WithK would for that factor.
+func TestConstructTargetTimeUsesKForTime(t *testing.T) {
 	tr, appTime := constructTrace(t)
-
-	skelA, _, err := perfskel.BuildSkeletonFromTrace(tr, 8, perfskel.SkeletonOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skelB, _, err := perfskel.Construct(tr, perfskel.WithK(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skelA.K != skelB.K || skelA.TargetTime != skelB.TargetTime {
-		t.Errorf("BuildSkeletonFromTrace (K=%d, %.4f s) != Construct WithK (K=%d, %.4f s)",
-			skelA.K, skelA.TargetTime, skelB.K, skelB.TargetTime)
-	}
-
 	target := appTime / 2.5 // lands K on a rounding boundary
-	skelC, _, err := perfskel.BuildSkeletonFromTraceForTime(tr, target, perfskel.SkeletonOptions{})
+	byTime, _, err := perfskel.Construct(tr, perfskel.WithTargetTime(target))
 	if err != nil {
 		t.Fatal(err)
 	}
-	skelD, _, err := perfskel.Construct(tr, perfskel.WithTargetTime(target))
+	want, err := skeleton.KForTime(appTime, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skelC.K != skelD.K {
-		t.Errorf("wrapper derived K=%d, Construct derived K=%d", skelC.K, skelD.K)
+	if byTime.K != want || want != 3 {
+		t.Fatalf("Construct derived K=%d, KForTime says %d; want 3 at the x.5 boundary (round half away from zero)", byTime.K, want)
 	}
-	if skelC.K != 3 {
-		t.Errorf("K = %d at the x.5 boundary, want 3 (round half away from zero)", skelC.K)
+	byK, _, err := perfskel.Construct(tr, perfskel.WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byK.K != byTime.K || byK.TargetTime != byTime.TargetTime || byK.Ops(0) != byTime.Ops(0) {
+		t.Errorf("WithTargetTime (K=%d, %.4f s, %d ops) != WithK(3) (K=%d, %.4f s, %d ops)",
+			byTime.K, byTime.TargetTime, byTime.Ops(0), byK.K, byK.TargetTime, byK.Ops(0))
 	}
 }
 

@@ -18,22 +18,30 @@ func TestErrorTaxonomy(t *testing.T) {
 		err  func() error
 		want error
 	}{
-		{"empty trace", func() error {
-			_, err := perfskel.BuildSignature(emptyTr, 0)
-			return err
-		}, perfskel.ErrEmptyTrace},
 		{"construct empty trace", func() error {
 			_, _, err := perfskel.Construct(emptyTr, perfskel.WithK(4))
 			return err
 		}, perfskel.ErrEmptyTrace},
-		{"bad K direct", func() error {
-			sig := &perfskel.Signature{NRanks: 1, AppTime: 1}
-			_, err := perfskel.BuildSkeleton(sig, 0)
+		{"construct empty trace with signature options", func() error {
+			_, _, err := perfskel.Construct(emptyTr, perfskel.WithK(4),
+				perfskel.WithSignatureOptions(perfskel.SignatureOptions{}))
+			return err
+		}, perfskel.ErrEmptyTrace},
+		{"bad K", func() error {
+			_, _, err := perfskel.Construct(emptyTr, perfskel.WithK(-1))
+			return err
+		}, perfskel.ErrBadK},
+		{"K above bound", func() error {
+			_, _, err := perfskel.Construct(emptyTr, perfskel.WithK(1<<30))
 			return err
 		}, perfskel.ErrBadK},
 		{"bad target time", func() error {
-			sig := &perfskel.Signature{NRanks: 1, AppTime: 1}
-			_, err := perfskel.BuildSkeletonForTime(sig, -1)
+			_, _, err := perfskel.Construct(emptyTr, perfskel.WithTargetTime(-1))
+			return err
+		}, perfskel.ErrBadK},
+		{"target time deriving K above bound", func() error {
+			tr := &perfskel.Trace{NRanks: 1, AppTime: 0.5, Events: make([][]perfskel.TraceEvent, 1)}
+			_, _, err := perfskel.Construct(tr, perfskel.WithTargetTime(1e-300))
 			return err
 		}, perfskel.ErrBadK},
 		{"construct no K", func() error {

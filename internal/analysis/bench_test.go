@@ -13,8 +13,7 @@ import (
 // The two benchmarks compare the extraction pipeline's straight-line
 // path against the symbolic-execution path: the same communication
 // pattern written as unrolled statements versus as counted loops the
-// extractor must prove environment-invariant and fold. scripts/bench.sh
-// reduces the pair to BENCH_analysis.json.
+// extractor must prove environment-invariant and fold.
 
 // benchRing emits a shifted-ring exchange body, either unrolled n times
 // (loop-free: no invariance proof needed) or as a single counted loop

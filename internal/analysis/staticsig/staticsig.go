@@ -33,9 +33,11 @@ import (
 	"go/format"
 	"go/types"
 	"io"
+	"os"
 	"sort"
 	"sync"
 
+	"perfskel/internal/analysis"
 	"perfskel/internal/analysis/commgraph"
 	"perfskel/internal/analysis/symexec"
 	"perfskel/internal/signature"
@@ -124,6 +126,39 @@ func Extract(src commgraph.Source, app string) (*Parametric, error) {
 	}
 	p.SourceHash = hash
 	return p, nil
+}
+
+// FromSource is the whole trace-free front end: it loads the source
+// package pkgPath — a directory, or an import path of the module
+// containing the working directory — then extracts app's parametric
+// signature and instantiates it at nranks ranks and problem class class.
+// Each stage's failure names the stage.
+func FromSource(pkgPath, app string, nranks int, class string) (*Instance, error) {
+	root, isDir := ".", false
+	if st, err := os.Stat(pkgPath); err == nil && st.IsDir() {
+		root, isDir = pkgPath, true
+	}
+	loader, err := analysis.NewLoader(root)
+	var pkg *analysis.Package
+	if err == nil {
+		if isDir {
+			pkg, err = loader.LoadDir(pkgPath)
+		} else {
+			pkg, err = loader.Load(pkgPath)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("load %q: %w", pkgPath, err)
+	}
+	par, err := Extract(commgraph.Source{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}, app)
+	if err != nil {
+		return nil, fmt.Errorf("extract %q from %q: %w", app, pkgPath, err)
+	}
+	inst, err := par.Instantiate(nranks, class)
+	if err != nil {
+		return nil, fmt.Errorf("instantiate: %w", err)
+	}
+	return inst, nil
 }
 
 // hashSource content-addresses the package: a SHA-256 over the

@@ -7,8 +7,8 @@ import (
 	"perfskel/internal/nas"
 )
 
-// benchGrid is the campaign measured by scripts/bench.sh: CG and MG
-// class A on 4 ranks, the paper's five sharing scenarios, two scaling
+// benchGrid is the campaign the BenchmarkCampaign* functions measure:
+// CG and MG class A on 4 ranks, the paper's five sharing scenarios, two scaling
 // factors, with the applications also measured under each scenario.
 func benchGrid(b *testing.B) Grid {
 	b.Helper()

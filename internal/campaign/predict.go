@@ -84,9 +84,10 @@ type Prediction struct {
 }
 
 // Predict runs one cell's full prediction: dedicated application
-// baseline, dedicated skeleton run (the scaling ratio), and the skeleton
-// probe under the cell's scenario. All three sub-runs go through the
-// cache, so a campaign's shared baselines are simulated once.
+// baseline (see AppDedicatedContext), dedicated skeleton run (the
+// scaling ratio), and the skeleton probe under the cell's scenario. All
+// three sub-runs go through the cache, so a campaign's shared baselines
+// are simulated once.
 func (e *Engine) Predict(c Cell) (Prediction, error) {
 	return e.predict(context.Background(), c, false)
 }
@@ -98,6 +99,25 @@ func (e *Engine) PredictContext(ctx context.Context, c Cell) (Prediction, error)
 	return e.predict(ctx, c, false)
 }
 
+// AppDedicatedContext returns the application's dedicated baseline
+// time for the cell's app, rank count and topology (the cell's K and
+// scenario are ignored): the memoized dedicated application run, or —
+// for a static app without a program body — its synthesized
+// signature's AppTime, with no simulation at all. Every prediction's
+// scaling ratio is taken against this time.
+func (e *Engine) AppDedicatedContext(ctx context.Context, c Cell) (float64, error) {
+	if s := c.App.Static; c.App.Fn == nil && s != nil && s.Sig != nil {
+		return s.Sig.AppTime, nil
+	}
+	c.K = 0
+	c.Scenario = cluster.Dedicated()
+	r, err := e.RunContext(ctx, c)
+	if err != nil {
+		return 0, err
+	}
+	return r.Time, nil
+}
+
 func (e *Engine) predict(ctx context.Context, c Cell, measure bool) (Prediction, error) {
 	c, err := e.norm(c)
 	if err != nil {
@@ -106,10 +126,7 @@ func (e *Engine) predict(ctx context.Context, c Cell, measure bool) (Prediction,
 	if c.K < 1 {
 		return Prediction{}, fmt.Errorf("campaign: Predict needs K >= 1, got %d: %w", c.K, skeleton.ErrBadK)
 	}
-	appDedCell := c
-	appDedCell.K = 0
-	appDedCell.Scenario = cluster.Dedicated()
-	appDed, err := e.RunContext(ctx, appDedCell)
+	appDed, err := e.AppDedicatedContext(ctx, c)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -125,10 +142,10 @@ func (e *Engine) predict(ctx context.Context, c Cell, measure bool) (Prediction,
 	}
 	p := Prediction{
 		App: c.App.ID, NRanks: c.NRanks, K: c.K, Scenario: c.Scenario.Name,
-		AppDedicated:  appDed.Time,
+		AppDedicated:  appDed,
 		SkelDedicated: skelDed.Time,
 		SkelScenario:  skelScen.Time,
-		Predicted:     predict.Predict(skelScen.Time, predict.Ratio(appDed.Time, skelDed.Time)),
+		Predicted:     predict.Predict(skelScen.Time, predict.Ratio(appDed, skelDed.Time)),
 	}
 	if measure {
 		actCell := c

@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"context"
 	"testing"
 
 	"perfskel/internal/cluster"
 	"perfskel/internal/mpi"
+	"perfskel/internal/predict"
 	"perfskel/internal/signature"
 	"perfskel/internal/trace"
 )
@@ -120,5 +122,34 @@ func TestStaticCellCacheIdentity(t *testing.T) {
 	}
 	if st := e.Stats(); st.Sims != 2 {
 		t.Errorf("new content key reused old cell: %d sims, want 2", st.Sims)
+	}
+}
+
+// TestStaticPredictUsesSignatureBaseline pins the static-app baseline
+// rule: a static app without a program body predicts against its
+// synthesized signature's AppTime and never simulates the application —
+// only the dedicated and scenario skeleton runs execute.
+func TestStaticPredictUsesSignatureBaseline(t *testing.T) {
+	s := staticTestSig(t)
+	e := New(Config{Workers: 1})
+	c := Cell{App: StaticApp(s), NRanks: 2, Scenario: cluster.CPUOneNode(), K: 4}
+	p, err := e.Predict(c)
+	if err != nil {
+		t.Fatalf("Predict: %v", err)
+	}
+	if p.AppDedicated != s.Sig.AppTime {
+		t.Errorf("AppDedicated = %g, want the signature's AppTime %g", p.AppDedicated, s.Sig.AppTime)
+	}
+	if want := predict.Predict(p.SkelScenario, predict.Ratio(s.Sig.AppTime, p.SkelDedicated)); p.Predicted != want {
+		t.Errorf("Predicted = %g, want %g", p.Predicted, want)
+	}
+	if got := e.Stats().Sims; got != 2 {
+		t.Errorf("static Predict executed %d simulations, want 2 (dedicated and scenario skeleton runs, no app run)", got)
+	}
+	if got, err := e.AppDedicatedContext(context.Background(), c); err != nil || got != s.Sig.AppTime {
+		t.Errorf("AppDedicatedContext(static cell) = %g, %v; want %g", got, err, s.Sig.AppTime)
+	}
+	if got := e.Stats().Sims; got != 2 {
+		t.Errorf("AppDedicated of a static cell simulated: %d sims, want still 2", got)
 	}
 }

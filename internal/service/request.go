@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
-	"perfskel/internal/analysis"
-	"perfskel/internal/analysis/commgraph"
 	"perfskel/internal/analysis/staticsig"
 	"perfskel/internal/campaign"
 	"perfskel/internal/cluster"
@@ -44,11 +41,12 @@ type Request struct {
 	// Scenario is the resource-sharing scenario name; an unknown name is
 	// rejected with the valid set enumerated in the error.
 	Scenario string `json:"scenario"`
-	// K is the skeleton scaling factor. Exactly one of K and TargetTime
-	// must be set.
+	// K is the skeleton scaling factor, in [1, skeleton.MaxK]. Exactly
+	// one of K and TargetTime must be set.
 	K int `json:"k,omitempty"`
 	// TargetTime derives K from an intended skeleton execution time in
-	// virtual seconds: K = round(appTime / TargetTime), at least 1.
+	// virtual seconds: K = round(appTime / TargetTime), at least 1 and at
+	// most skeleton.MaxK.
 	TargetTime float64 `json:"target_time_s,omitempty"`
 	// Mode is the communication scale mode: "byte" (default) or "time".
 	Mode string `json:"mode,omitempty"`
@@ -79,8 +77,10 @@ func (r *Request) validate() (cluster.Scenario, skeleton.ScaleMode, error) {
 	if (r.K != 0) == (r.TargetTime != 0) {
 		return cluster.Scenario{}, 0, fmt.Errorf("exactly one of \"k\" and \"target_time_s\" must be set: %w", ErrBadRequest)
 	}
-	if r.K < 0 {
-		return cluster.Scenario{}, 0, fmt.Errorf("\"k\" must be >= 1, got %d: %w", r.K, skeleton.ErrBadK)
+	if r.K != 0 {
+		if err := skeleton.CheckK(r.K); err != nil {
+			return cluster.Scenario{}, 0, fmt.Errorf("\"k\": %w", err)
+		}
 	}
 	if r.K == 0 && r.TargetTime <= 0 {
 		return cluster.Scenario{}, 0, fmt.Errorf("\"target_time_s\" must be > 0, got %g: %w", r.TargetTime, skeleton.ErrBadK)
@@ -165,21 +165,18 @@ func (s *Server) compute(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	cell := campaign.Cell{App: app, NRanks: req.Ranks, Scenario: sc, Mode: mode}
-
-	k := req.K
-	if k == 0 {
-		appTime, err := s.appDedicatedTime(ctx, cell, app)
+	cell := campaign.Cell{App: app, NRanks: req.Ranks, Scenario: sc, K: req.K, Mode: mode}
+	if cell.K == 0 {
+		appTime, err := s.eng.AppDedicatedContext(ctx, cell)
 		if err != nil {
 			return nil, err
 		}
-		if k, err = skeleton.KForTime(appTime, req.TargetTime); err != nil {
+		if cell.K, err = skeleton.KForTime(appTime, req.TargetTime); err != nil {
 			return nil, err
 		}
 	}
-	cell.K = k
 
-	pred, err := s.predictCell(ctx, cell, app)
+	pred, err := s.eng.PredictContext(ctx, cell)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +200,7 @@ func (s *Server) compute(ctx context.Context, req Request) (*Response, error) {
 	echo.TimeoutMS = 0
 	return &Response{
 		Request:    echo,
-		K:          k,
+		K:          cell.K,
 		Prediction: pred,
 		Profile:    skelScen.Stats,
 		Cache:      CacheInfo{Key: key},
@@ -221,92 +218,14 @@ func (s *Server) resolveApp(req Request) (campaign.App, string, error) {
 		}
 		return app, req.key(), nil
 	}
-	inst, err := s.synthesize(req)
+	inst, err := staticsig.FromSource(req.SourcePkg, req.App, req.Ranks, req.Class)
 	if err != nil {
-		return campaign.App{}, "", err
+		// Synthesis failures are the caller's fault: a bad path or an
+		// un-analyzable program.
+		return campaign.App{}, "", fmt.Errorf("%w: %w", err, ErrBadRequest)
 	}
 	app := campaign.StaticApp(&campaign.StaticSig{Key: inst.Key, Sig: inst.Sig})
 	return app, req.key() + "|src=" + inst.SourceHash, nil
-}
-
-// synthesize runs the trace-free static front end for a request: load
-// the source package, extract the app's parametric signature,
-// instantiate it at the request's rank count and class. Failures here
-// are the caller's fault (bad path, un-analyzable program) and map to
-// 400.
-func (s *Server) synthesize(req Request) (*staticsig.Instance, error) {
-	root := "."
-	isDir := false
-	if st, err := os.Stat(req.SourcePkg); err == nil && st.IsDir() {
-		root, isDir = req.SourcePkg, true
-	}
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	var pkg *analysis.Package
-	if isDir {
-		pkg, err = loader.LoadDir(req.SourcePkg)
-	} else {
-		pkg, err = loader.Load(req.SourcePkg)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("load %q: %w: %w", req.SourcePkg, err, ErrBadRequest)
-	}
-	par, err := staticsig.Extract(commgraph.Source{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}, req.App)
-	if err != nil {
-		return nil, fmt.Errorf("extract %q from %q: %w: %w", req.App, req.SourcePkg, err, ErrBadRequest)
-	}
-	inst, err := par.Instantiate(req.Ranks, req.Class)
-	if err != nil {
-		return nil, fmt.Errorf("instantiate: %w: %w", err, ErrBadRequest)
-	}
-	return inst, nil
-}
-
-// appDedicatedTime returns the application's dedicated baseline time:
-// the simulated run for built-in apps, the synthesized signature's
-// modeled app time for static ones (which carry no runnable body).
-func (s *Server) appDedicatedTime(ctx context.Context, cell campaign.Cell, app campaign.App) (float64, error) {
-	if app.Static != nil {
-		return app.Static.Sig.AppTime, nil
-	}
-	ded := cell
-	ded.K = 0
-	ded.Scenario = cluster.Dedicated()
-	r, err := s.eng.RunContext(ctx, ded)
-	if err != nil {
-		return 0, err
-	}
-	return r.Time, nil
-}
-
-// predictCell produces the cell's prediction. Built-in apps go through
-// the engine's full prediction path; static apps (no runnable body)
-// substitute the signature's modeled app time for the simulated
-// dedicated baseline.
-func (s *Server) predictCell(ctx context.Context, cell campaign.Cell, app campaign.App) (campaign.Prediction, error) {
-	if app.Static == nil {
-		return s.eng.PredictContext(ctx, cell)
-	}
-	skelDedCell := cell
-	skelDedCell.Scenario = cluster.Dedicated()
-	skelDed, err := s.eng.RunContext(ctx, skelDedCell)
-	if err != nil {
-		return campaign.Prediction{}, err
-	}
-	skelScen, err := s.eng.RunContext(ctx, cell)
-	if err != nil {
-		return campaign.Prediction{}, err
-	}
-	appTime := app.Static.Sig.AppTime
-	return campaign.Prediction{
-		App: app.ID, NRanks: cell.NRanks, K: cell.K, Scenario: cell.Scenario.Name,
-		AppDedicated:  appTime,
-		SkelDedicated: skelDed.Time,
-		SkelScenario:  skelScen.Time,
-		Predicted:     predict.Predict(skelScen.Time, predict.Ratio(appTime, skelDed.Time)),
-	}, nil
 }
 
 // badRequest reports whether err is the caller's fault: the service

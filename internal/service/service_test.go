@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"perfskel/internal/analysis/staticsig"
 )
 
 // predictBody is the canonical test request: CG class S at 4 ranks,
@@ -223,6 +225,10 @@ func TestErrorContract(t *testing.T) {
 		{"k and target both", `{"app":"CG","class":"S","ranks":4,"scenario":"dedicated","k":8,"target_time_s":1}`, 400, `exactly one of`},
 		{"k and target neither", `{"app":"CG","class":"S","ranks":4,"scenario":"dedicated"}`, 400, `exactly one of`},
 		{"negative k", `{"app":"CG","class":"S","ranks":4,"scenario":"dedicated","k":-2}`, 400, "bad scaling factor"},
+		{"k above bound", `{"app":"CG","class":"S","ranks":4,"scenario":"dedicated","k":1048577}`, 400, "bad scaling factor"},
+		{"huge k", `{"app":"CG","class":"S","ranks":4,"scenario":"dedicated","k":1000000000000}`, 400, "bad scaling factor"},
+		{"tiny target time", `{"app":"CG","class":"S","ranks":4,"scenario":"dedicated","target_time_s":1e-300}`, 400, "bad scaling factor"},
+		{"tiny target time static", `{"app":"CG","class":"S","ranks":4,"scenario":"dedicated","target_time_s":1e-12,"source_pkg":"perfskel/internal/nas"}`, 400, "bad scaling factor"},
 		{"unknown scenario", `{"app":"CG","class":"S","ranks":4,"scenario":"bogus","k":8}`, 400, "valid: combined, cpu-all-nodes, cpu-one-node, dedicated, net-all-links, net-one-link"},
 		{"unknown app", `{"app":"ZZ","class":"S","ranks":4,"scenario":"dedicated","k":8}`, 400, "valid: BT, CG, EP, FT, IS, LU, MG, SP"},
 		{"unknown mode", `{"app":"CG","class":"S","ranks":4,"scenario":"dedicated","k":8,"mode":"warp"}`, 400, "valid: byte, time"},
@@ -334,4 +340,48 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestStaticSourcePredict pins a successful trace-free request: the
+// response is keyed by the synthesized source hash, predicts against
+// the synthesized signature's AppTime, repeats byte-identically, and a
+// source package that does not load is the caller's fault.
+func TestStaticSourcePredict(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	req := `{"app":"CG","class":"S","ranks":4,"scenario":"cpu-one-node","k":8,"source_pkg":"perfskel/internal/nas"}`
+	resp, body := post(t, ts, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("static request: %d %s", resp.StatusCode, body)
+	}
+	var out Response
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	inst, err := staticsig.FromSource("perfskel/internal/nas", "CG", 4, "S")
+	if err != nil {
+		t.Fatalf("synthesize: %v", err)
+	}
+	if want := "|src=" + inst.SourceHash; !strings.HasSuffix(out.Cache.Key, want) {
+		t.Errorf("cache key %q does not end in %q", out.Cache.Key, want)
+	}
+	p := out.Prediction
+	if p.AppDedicated != inst.Sig.AppTime {
+		t.Errorf("app_dedicated_s = %g, want the synthesized AppTime %g", p.AppDedicated, inst.Sig.AppTime)
+	}
+	if want := p.SkelScenario * (p.AppDedicated / p.SkelDedicated); p.Predicted != want {
+		t.Errorf("predicted_s = %g, want skel_scenario_s x app/skel ratio = %g", p.Predicted, want)
+	}
+	if out.K != 8 || p.K != 8 {
+		t.Errorf("k = %d, prediction k = %d, want 8", out.K, p.K)
+	}
+
+	resp2, body2 := post(t, ts, req)
+	if resp2.StatusCode != http.StatusOK || !bytes.Equal(body, body2) {
+		t.Fatalf("repeat: %d, body differs from the first:\n%s\nvs\n%s", resp2.StatusCode, body2, body)
+	}
+
+	bogus := `{"app":"CG","class":"S","ranks":4,"scenario":"cpu-one-node","k":8,"source_pkg":"perfskel/internal/nosuchpkg"}`
+	if resp, body := post(t, ts, bogus); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bogus source_pkg: %d %s, want 400", resp.StatusCode, body)
+	}
 }

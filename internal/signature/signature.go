@@ -134,16 +134,16 @@ func Build(tr *trace.Trace, opts Options) (*Signature, error) {
 	var best, bestConsistent *Signature
 	for {
 		s := build(t)
+		if opts.TargetRatio <= 0 {
+			s.TargetMet = true
+			return s, nil
+		}
 		consistent := s.Consistent() == nil
 		if best == nil || s.Ratio > best.Ratio {
 			best = s
 		}
 		if consistent && (bestConsistent == nil || s.Ratio > bestConsistent.Ratio) {
 			bestConsistent = s
-		}
-		if opts.TargetRatio <= 0 {
-			s.TargetMet = true
-			return s, nil
 		}
 		// Inconsistent thresholds (a cluster of jittered events split
 		// differently across ranks) would yield deadlocking skeletons;

@@ -11,10 +11,26 @@ import (
 	"perfskel/internal/signature"
 )
 
-// ErrBadK reports an unusable skeleton scaling factor — K below 1, or a
-// non-positive target time to derive it from. Callers branch on it with
-// errors.Is (the prediction service maps it to a 400).
+// ErrBadK reports an unusable skeleton scaling factor — K outside
+// [1, MaxK], or a target time that is non-positive or would derive one.
+// Callers branch on it with errors.Is (the prediction service maps it
+// to a 400).
 var ErrBadK = errors.New("bad scaling factor")
+
+// MaxK bounds the skeleton scaling factor, far above any factor the
+// paper's experiments use. A larger K describes no useful skeleton, and
+// the bound keeps a factor derived from a tiny target time from
+// overflowing int.
+const MaxK = 1 << 20
+
+// CheckK rejects a scaling factor outside [1, MaxK] with an error
+// wrapping ErrBadK.
+func CheckK(k int) error {
+	if k < 1 || k > MaxK {
+		return fmt.Errorf("skeleton: scaling factor K must be in [1, %d], got %d: %w", MaxK, k, ErrBadK)
+	}
+	return nil
+}
 
 // ScaleMode selects how unreduced communication operations are scaled
 // down by K (step 3 of section 3.3).
@@ -83,8 +99,8 @@ func Build(sig *signature.Signature, k int) (*Program, error) {
 
 // BuildOpts is Build with explicit construction options.
 func BuildOpts(sig *signature.Signature, k int, opts Options) (*Program, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("skeleton: scaling factor K must be >= 1, got %d: %w", k, ErrBadK)
+	if err := CheckK(k); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 	p := &Program{
@@ -105,26 +121,21 @@ func BuildOpts(sig *signature.Signature, k int, opts Options) (*Program, error) 
 // execution time: K = round(appTime / target), at least 1, as the paper's
 // experiments do for their 10/5/2/1/0.5-second skeletons. Every
 // time-targeted construction path must derive K through this helper so
-// the paths cannot disagree at rounding boundaries.
+// the paths cannot disagree at rounding boundaries. A quotient that is
+// not finite or rounds above MaxK is rejected before it is converted to
+// int, where it would overflow.
 func KForTime(appTime, target float64) (int, error) {
-	if target <= 0 {
+	if !(target > 0) {
 		return 0, fmt.Errorf("skeleton: target time must be positive, got %v: %w", target, ErrBadK)
 	}
-	k := int(math.Round(appTime / target))
-	if k < 1 {
-		k = 1
+	q := math.Round(appTime / target)
+	if math.IsNaN(q) || math.IsInf(q, 0) || q > MaxK {
+		return 0, fmt.Errorf("skeleton: app time %v over target time %v gives scaling factor %v, not a finite value <= MaxK=%d: %w", appTime, target, q, MaxK, ErrBadK)
 	}
-	return k, nil
-}
-
-// BuildForTime constructs a skeleton with an intended execution time,
-// deriving K with KForTime.
-func BuildForTime(sig *signature.Signature, target float64) (*Program, error) {
-	k, err := KForTime(sig.AppTime, target)
-	if err != nil {
-		return nil, err
+	if q < 1 {
+		return 1, nil
 	}
-	return Build(sig, k)
+	return int(q), nil
 }
 
 // distQuantiles is how many duration quantiles SpreadCompute retains per

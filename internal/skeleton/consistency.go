@@ -144,8 +144,8 @@ func hasRoot(op mpi.Op) bool {
 // (TargetMet false on its signature); if no threshold yields a consistent
 // skeleton at all, an error describing the inconsistency is returned.
 func BuildFromTrace(tr *trace.Trace, k int, opts Options) (*Program, *signature.Signature, error) {
-	if k < 1 {
-		return nil, nil, fmt.Errorf("skeleton: scaling factor K must be >= 1, got %d", k)
+	if err := CheckK(k); err != nil {
+		return nil, nil, err
 	}
 	target := float64(k) / 2
 	var bestP *Program

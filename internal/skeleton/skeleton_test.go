@@ -1,6 +1,7 @@
 package skeleton
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -143,24 +144,6 @@ func TestScaleOpNeverZeroesBytes(t *testing.T) {
 	op := scaleOp(Op{Kind: mpi.OpSend, Bytes: 3}, 10)
 	if op.Bytes != 1 {
 		t.Errorf("bytes = %d, want floor of 1", op.Bytes)
-	}
-}
-
-func TestBuildForTimeDerivesK(t *testing.T) {
-	sig := traceAndSign(t, 2, 5, iterApp)
-	target := sig.AppTime / 7
-	p, err := BuildForTime(sig, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.K != 7 {
-		t.Errorf("K = %d, want 7", p.K)
-	}
-	if _, err := BuildForTime(sig, -1); err == nil {
-		t.Error("want error for negative target")
-	}
-	if _, err := Build(sig, 0); err == nil {
-		t.Error("want error for K=0")
 	}
 }
 
@@ -373,8 +356,10 @@ func TestBuildFromTraceMeetsTarget(t *testing.T) {
 	if err := prog.Consistent(); err != nil {
 		t.Errorf("built skeleton inconsistent: %v", err)
 	}
-	if _, _, err := BuildFromTrace(tr, 0, Options{}); err == nil {
-		t.Error("want error for K=0")
+	for _, k := range []int{0, MaxK + 1} {
+		if _, _, err := BuildFromTrace(tr, k, Options{}); !errors.Is(err, ErrBadK) {
+			t.Errorf("BuildFromTrace K=%d: err %v, want ErrBadK", k, err)
+		}
 	}
 }
 
